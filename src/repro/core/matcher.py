@@ -4,7 +4,12 @@ The exploration plan is compiled into a Catalyst join DAG over a
 symmetric edge table ``edges(src, dst)`` (both directions present, no
 self loops, distinct):
 
-* matching a pattern edge  → inner self-join on ``edges``
+* seed → ``edges`` itself, aliased to the first two vertices of the
+  plan's ``vertex_order``: the second is always adjacent to the first,
+  so every directed edge row is a candidate pair and the seed costs no
+  aggregate, shuffle or join. The first vertex's label join and any
+  partial order between the two apply to the seed;
+* matching a further pattern edge → inner self-join on ``edges``
   (adjacency-list intersection ≡ join on two bound columns);
 * symmetry-breaking partial order ``a < b`` → ``col(va) < col(vb)``
   predicate (the paper's ordered candidate-set range);
@@ -69,37 +74,48 @@ def match_df(
     ):
         raise ValueError("pattern has labels but no label table was given")
 
-    df: Optional[DataFrame] = None
-    bound: list[int] = []
-    for u in order:
+    if len(order) < 2:
+        raise ValueError("pattern needs at least one regular edge")
+    a, b = order[0], order[1]
+    df = edges.select(F.col("src").alias(_c(a)), F.col("dst").alias(_c(b)))
+    df = _with_label(df, labels, p, a)
+    df = _restrict(df, edges, p, b, [a], po)
+    df = _with_label(df, labels, p, b)
+    bound = [a, b]
+    for u in order[2:]:
         df = _bind_vertex(df, edges, p, u, bound, po)
-        if labels is not None and p.labels[u] is not None:
-            lab = labels.where(F.col("label") == F.lit(p.labels[u])).select(
-                F.col("v").alias(_c(u))
-            )
-            df = df.join(lab, on=_c(u), how="inner")
+        df = _with_label(df, labels, p, u)
         bound.append(u)
-    assert df is not None
 
     for av in sorted(p.anti_vertices):
         df = _apply_anti_vertex(df, edges, p, av, bound)
     return df.select(*[_c(v) for v in sorted(p.regular_vertices)])
 
 
+def _with_label(
+    df: DataFrame, labels: Optional[DataFrame], p: Pattern, u: int
+) -> DataFrame:
+    """Keep rows whose ``u`` carries the pattern's label for ``u``."""
+    if labels is None or p.labels[u] is None:
+        return df
+    lab = labels.where(F.col("label") == F.lit(p.labels[u])).select(
+        F.col("v").alias(_c(u))
+    )
+    return df.join(lab, on=_c(u), how="inner")
+
+
 def _bind_vertex(
-    df: Optional[DataFrame],
+    df: DataFrame,
     edges: DataFrame,
     p: Pattern,
     u: int,
     bound: list[int],
     po: set[tuple[int, int]],
 ) -> DataFrame:
-    """Join vertex ``u`` into the partial match ``df`` (None = empty)."""
+    """Join vertex ``u`` into the partial match ``df``. The first two
+    vertices come from the edge seed in :func:`match_df`; every later
+    vertex has a bound neighbor (the vertex order is prefix-connected)."""
     nbrs = [w for w in p.get_neighbors(u) if w in bound]
-    if df is None:
-        # first vertex: every endpoint in the edge table (patterns are
-        # connected, so an isolated data vertex can never match)
-        return edges.select(F.col("src").alias(_c(u))).distinct()
     assert nbrs, "join order guarantees a bound neighbor"
     # first bound neighbor generates candidates; the rest filter them
     first, rest = nbrs[0], nbrs[1:]
@@ -118,6 +134,23 @@ def _bind_vertex(
             (df[_c(w)] == e[_c(w) + "__j"]) & (df[_c(u)] == e[_c(u) + "__j"]),
             "inner",
         ).drop(_c(w) + "__j", _c(u) + "__j")
+    return _restrict(df, edges, p, u, bound, po)
+
+
+def _restrict(
+    df: DataFrame,
+    edges: DataFrame,
+    p: Pattern,
+    u: int,
+    bound: list[int],
+    po: set[tuple[int, int]],
+) -> DataFrame:
+    """Filters that apply once ``u`` and ``bound`` are all in ``df``:
+    partial orders, injectivity and anti-edges between ``u`` and the
+    bound vertices. On the edge seed (``u`` = second vertex, ``bound`` =
+    the first) only a partial order can apply, since the pair is
+    adjacent."""
+    nbrs = [w for w in p.get_neighbors(u) if w in bound]
     # symmetry-breaking partial orders between u and bound vertices
     for a, b in po:
         if a == u and b in bound:

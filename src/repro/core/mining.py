@@ -4,7 +4,9 @@ Each application is the paper's pattern program expressed over the
 DataFrame matching engine:
 
 * :func:`count_motifs` — Fig. 4e: vertex-induced counts of every
-  connected pattern with ``size`` vertices;
+  connected pattern with ``size`` vertices (3- and 4-motifs morphed
+  from degree sums and the dense motifs' join DAGs;
+  :func:`count_motifs_direct` runs one join DAG per motif);
 * :func:`count_cliques` — k-clique counting;
 * :func:`match_pattern` — pattern matching, optionally labeled /
   constrained / vertex-induced;
@@ -17,6 +19,7 @@ DataFrame matching engine:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,6 +29,7 @@ from pyspark.sql import DataFrame, functions as F
 from .matcher import count_matches, match_df, vertex_orbits
 from .pattern import (
     Pattern,
+    chain,
     clique,
     generate_all_vertex_induced,
     star,
@@ -56,13 +60,106 @@ def count_motifs(
     edges: DataFrame, size: int, symmetry_breaking: bool = True
 ) -> dict[str, int]:
     """Vertex-induced counts of all connected ``size``-vertex patterns
-    (Fig. 4e). Returns ``{motif name: count}``."""
+    (Fig. 4e). Returns ``{motif name: count}``.
+
+    For ``size`` 3 and 4 with symmetry breaking, counts are *morphed*
+    (subgraph morphing, Jamshidi, Xu & Vora, EuroSys 2023 — the
+    follow-up to Peregrine, not Peregrine itself): only the dense
+    motifs (the triangle; cycle4, tailed triangle, diamond and 4-clique)
+    run a join DAG. The sparse motifs — the trees wedge, path4 and
+    star4 — get their edge-induced counts ``N(P)`` from one degree
+    aggregate (:func:`degree_sums`, as in ESCAPE), and the containment
+    matrix turns them into vertex-induced counts::
+
+        I(P) = N(P) - sum over dense Q of c(P, Q) * I(Q)
+
+    where ``c(P, Q)`` (:func:`containment`) is the number of edge subsets
+    of ``Q`` that form ``P``. Every size-``size`` subgraph isomorphic to
+    ``P`` spans a vertex set whose induced motif is ``P`` itself or a
+    denser ``Q``, and every ``Q`` that contains a tree here is dense.
+
+    Other sizes and ``symmetry_breaking=False`` (PRG-U) run the direct
+    per-pattern loop, :func:`count_motifs_direct`."""
+    if not symmetry_breaking or size not in (3, 4):
+        return count_motifs_direct(edges, size, symmetry_breaking)
+    wedges, stars, paths = degree_sums(edges, paths=size == 4)
+    if size == 3:
+        sparse = {star(3).canonical_key(): wedges}
+    else:
+        triangles = count_matches(edges, clique(3))
+        sparse = {
+            star(4).canonical_key(): stars,
+            chain(4).canonical_key(): paths - 3 * triangles,
+        }
+    motifs = generate_all_vertex_induced(size)
+    dense = {
+        p.canonical_key(): count_matches(edges, p, induced=True)
+        for p in motifs
+        if p.canonical_key() not in sparse
+    }
+    c = containment(size)
+    counts = dict(dense)
+    for k, n in sparse.items():
+        counts[k] = n - sum(c.get((k, q), 0) * i for q, i in dense.items())
+    return {motif_name(p): counts[p.canonical_key()] for p in motifs}
+
+
+def count_motifs_direct(
+    edges: DataFrame, size: int, symmetry_breaking: bool = True
+) -> dict[str, int]:
+    """Fig. 4e as Peregrine runs it: one vertex-induced join DAG per
+    motif. Figure 10 times this loop with and without symmetry breaking,
+    so it measures symmetry breaking and not morphing."""
     out = {}
     for p in generate_all_vertex_induced(size):
         out[motif_name(p)] = count_matches(
             edges, p, induced=True, symmetry_breaking=symmetry_breaking
         )
     return out
+
+
+def containment(size: int) -> dict[tuple[tuple, tuple], int]:
+    """``c[(P, Q)]`` by canonical key: the number of edge subsets of the
+    motif ``Q`` that form a connected pattern isomorphic to ``P`` on all
+    ``size`` vertices (``c[(P, P)] == 1``; zero entries are left out)."""
+    c: dict[tuple[tuple, tuple], int] = {}
+    for q in generate_all_vertex_induced(size):
+        qk = q.canonical_key()
+        for r in range(size - 1, len(q.edges) + 1):
+            for sub in itertools.combinations(sorted(q.edges), r):
+                try:
+                    pk = Pattern.of(size, sub).canonical_key()
+                except ValueError:  # disconnected or misses a vertex
+                    continue
+                c[(pk, qk)] = c.get((pk, qk), 0) + 1
+    return c
+
+
+def degree_sums(edges: DataFrame, paths: bool = False) -> tuple[int, int, int]:
+    """Edge-induced tree counts from one degree aggregate over ``edges``
+    (``d`` = degree, i.e. rows per ``src``):
+
+    * wedges ``sum C(d, 2)`` and 3-stars ``sum C(d, 3)``;
+    * with ``paths``, ``1/2 * sum over directed edge rows (u, v) of
+      (d_u - 1)(d_v - 1)``: 3-edge walks around a middle edge, which is
+      every 3-edge path once and every triangle three times (one extra
+      join of ``edges`` with the degrees). Without ``paths`` it is 0.
+
+    One Spark action; an empty edge table gives zeros."""
+    deg = edges.groupBy("src").agg(F.count("*").alias("d"))
+    if paths:
+        nbr = deg.select(F.col("src").alias("dst"), (F.col("d") - 1).alias("dn"))
+        deg = edges.join(nbr, on="dst").groupBy("src").agg(
+            F.count("*").alias("d"), F.sum("dn").alias("s")
+        )
+    else:
+        deg = deg.withColumn("s", F.lit(0))
+    d = F.col("d")
+    row = deg.agg(
+        F.sum(d * (d - 1)), F.sum(d * (d - 1) * (d - 2)), F.sum((d - 1) * F.col("s"))
+    ).collect()[0]
+    two, three, walks = (int(x or 0) for x in row)
+    return two // 2, three // 6, walks // 2
 
 
 def count_cliques(edges: DataFrame, k: int, symmetry_breaking: bool = True) -> int:
@@ -112,9 +209,10 @@ def exists_clique(edges: DataFrame, k: int) -> bool:
 
 
 def global_clustering_coefficient(edges: DataFrame) -> float:
-    """3 × triangles / wedges, via two pattern counts (Fig. 4b uses the
-    edge-induced 3-star = wedge for the triplet count)."""
-    wedges = count_matches(edges, star(3))
+    """3 × triangles / wedges (Fig. 4b uses the edge-induced 3-star =
+    wedge for the triplet count). Wedges come from the degree sum
+    ``sum C(d, 2)``, triangles from the join DAG."""
+    wedges = degree_sums(edges)[0]
     if wedges == 0:
         return 0.0
     triangles = count_matches(edges, clique(3))
@@ -123,10 +221,10 @@ def global_clustering_coefficient(edges: DataFrame) -> float:
 
 def cc_exceeds(edges: DataFrame, bound: float) -> bool:
     """Fig. 4b existence query: is the global clustering coefficient
-    above ``bound``? Counts wedges first, then triangles — the paper
-    stops triangle counting early once the requisite count is reached;
-    the batch analog computes the count and compares."""
-    wedges = count_matches(edges, star(3))
+    above ``bound``? Counts wedges first (a degree sum), then triangles
+    — the paper stops triangle counting early once the requisite count
+    is reached; the batch analog computes the count and compares."""
+    wedges = degree_sums(edges)[0]
     if wedges == 0:
         return False
     return count_matches(edges, clique(3)) * 3.0 > bound * wedges
@@ -228,8 +326,6 @@ def _discover_supports(
 def _iso_map(p: Pattern, q: Pattern) -> dict[int, int]:
     """A structure/label-preserving bijection from p's vertices to q's
     (both are the same canonical pattern up to relabeling)."""
-    import itertools
-
     for perm in itertools.permutations(range(p.n)):
         if all(p.labels[v] == q.labels[perm[v]] for v in range(p.n)) and (
             frozenset(

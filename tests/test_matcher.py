@@ -103,6 +103,14 @@ class TestLabeledPatterns:
             edges, clique(3)
         )
 
+    def test_labeled_first_vertex(self, small_lab):
+        """The first vertex's label join now runs on the edge seed."""
+        graph, edges, labels = small_lab
+        p = chain(4).with_labels([None, 1, None, 2])
+        first = generate_plan(p).vertex_order[0]
+        assert p.labels[first] is not None
+        _check_count(graph, edges, p, labels=labels, labels_pdf=graph.labels_pdf)
+
     def test_labeled_pattern_without_table_raises(self, small):
         graph, edges = small
         with pytest.raises(ValueError):
@@ -206,6 +214,13 @@ class TestPlanIntegration:
         a = match_df(edges, p, plan=plan).count()
         b = match_df(edges, p).count()
         assert a == b
+
+    def test_edge_seed_has_no_aggregate(self, small):
+        """The DAG starts from the edge table itself, not from a
+        ``distinct`` over its endpoints."""
+        graph, edges = small
+        plan = match_df(edges, clique(3))._jdf.queryExecution().analyzed()
+        assert "Aggregate" not in plan.toString()
 
     def test_match_columns_named_by_vertex(self, small):
         graph, edges = small

@@ -7,12 +7,14 @@ from repro.core.mining import (
     cc_exceeds,
     count_cliques,
     count_motifs,
+    count_motifs_direct,
     exists_pattern,
     fsm,
     global_clustering_coefficient,
     motif_name,
 )
 from repro.core.pattern import Pattern, chain, clique, generate_all_vertex_induced, star
+from repro.graph.gengraph import from_edge_list
 from repro.oracle import assert_equivalent
 from repro.oracle_sql import count_sql
 from repro.reference import RefGraph, ref_count, ref_fsm
@@ -51,6 +53,76 @@ class TestMotifCounting:
         assert count_motifs(edges, 3) == count_motifs(
             edges, 3, symmetry_breaking=False
         )
+
+    @pytest.mark.parametrize("size", [3, 4])
+    @pytest.mark.parametrize("gname", ["fig6", "small", "medium"])
+    def test_morphed_equals_direct_reference_and_duckdb(self, size, gname, request):
+        import duckdb
+
+        graph, edges = request.getfixturevalue(gname)
+        got = count_motifs(edges, size)
+        assert got == count_motifs_direct(edges, size)
+        rg = ref_of(graph)
+        con = duckdb.connect()
+        try:
+            con.register("edges", graph.edges_pdf)
+            for p in generate_all_vertex_induced(size):
+                sql = count_sql(p, induced=True)
+                assert got[motif_name(p)] == ref_count(rg, p, induced=True)
+                assert got[motif_name(p)] == con.execute(sql).fetchone()[0]
+        finally:
+            con.close()
+
+    @pytest.mark.parametrize(
+        "edge_list",
+        [
+            # triangle-free: a square with pendant paths (bipartite)
+            [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (1, 7), (7, 8)],
+            [(0, 1)],
+        ],
+        ids=["triangle_free", "single_edge"],
+    )
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_morphed_sparse_graphs(self, size, edge_list, sparks):
+        graph = from_edge_list(edge_list)
+        edges = graph.to_spark(sparks)
+        got = count_motifs(edges, size)
+        assert got == count_motifs_direct(edges, size)
+        rg = ref_of(graph)
+        for p in generate_all_vertex_induced(size):
+            assert got[motif_name(p)] == ref_count(rg, p, induced=True)
+        # no rows at all: the degree sums are empty and must read as 0
+        empty = count_motifs(edges.limit(0), size)
+        assert empty == {motif_name(p): 0 for p in generate_all_vertex_induced(size)}
+        assert all(type(v) is int for v in empty.values())
+
+    def test_only_dense_motifs_run_join_dags(self, small, monkeypatch):
+        """Morphing: sparse motifs (and the clustering coefficient's
+        wedges) come from degree sums, never from a join DAG."""
+        from repro.core import matcher, mining
+
+        graph, edges = small
+        seen = []
+        orig = matcher.match_df
+
+        def spy(edges, pattern, *args, **kwargs):
+            seen.append(pattern.canonical_key())
+            return orig(edges, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(matcher, "match_df", spy)
+        monkeypatch.setattr(mining, "match_df", spy)
+        count_motifs(edges, 3)
+        assert seen == [clique(3).canonical_key()]
+        seen.clear()
+        count_motifs(edges, 4)
+        dense = ["cycle4", "tailed_triangle", "diamond", "clique4"]
+        want = [p.canonical_key() for p in generate_all_vertex_induced(4)
+                if motif_name(p) in dense] + [clique(3).canonical_key()]
+        assert sorted(seen) == sorted(want)
+        seen.clear()
+        global_clustering_coefficient(edges)
+        cc_exceeds(edges, 0.1)
+        assert seen == [clique(3).canonical_key()] * 2
 
     def test_3motifs_oracle(self, small):
         graph, edges = small
