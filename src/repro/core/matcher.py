@@ -29,7 +29,6 @@ not fully pattern-aware (AutoMine-style).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from pyspark.sql import DataFrame, functions as F
@@ -40,17 +39,6 @@ from .plan import ExplorationPlan, generate_plan
 
 def _c(v: int) -> str:
     return f"v{v}"
-
-
-@dataclass
-class MatchStats:
-    """Peregrine-side instrumentation for the Figure 1b/1c comparison:
-    a pattern-aware engine explores only final matches and performs no
-    per-match canonicality or isomorphism computations."""
-
-    matches_explored: int = 0
-    canonicality_checks: int = 0
-    isomorphism_checks: int = 0
 
 
 def match_df(
@@ -214,7 +202,6 @@ def count_matches(
     labels: Optional[DataFrame] = None,
     induced: bool = False,
     symmetry_breaking: bool = True,
-    stats: Optional[MatchStats] = None,
 ) -> int:
     """Number of unique matches. Without symmetry breaking the engine
     produces every automorphic copy and divides by ``|Aut|`` — exact,
@@ -225,16 +212,9 @@ def count_matches(
     )
     raw = df.count()
     if symmetry_breaking:
-        n = raw
-    else:
-        assert raw % plan.num_automorphisms == 0, (
-            raw,
-            plan.num_automorphisms,
-        )
-        n = raw // plan.num_automorphisms
-    if stats is not None:
-        stats.matches_explored += raw
-    return n
+        return raw
+    assert raw % plan.num_automorphisms == 0, (raw, plan.num_automorphisms)
+    return raw // plan.num_automorphisms
 
 
 def vertex_orbits(p: Pattern) -> list[tuple[int, ...]]:

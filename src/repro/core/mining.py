@@ -283,9 +283,8 @@ def _discover_supports(
         qc = q.canonical()
         key = qc.canonical_key()
         canon_patterns.setdefault(key, qc)
-        # the permutation used by canonical(): recompute the mapping by
-        # finding any label/structure-preserving bijection q -> qc
-        perm = _iso_map(q, qc)
+        # any label/structure-preserving bijection q -> qc
+        perm = next(q.isomorphisms(qc))
         orbits = vertex_orbits(qc)
         orbit_of = {v: i for i, orb in enumerate(orbits) for v in orb}
         for i, u in enumerate(regs):
@@ -321,26 +320,6 @@ def _discover_supports(
         for key in canon_patterns
         if str(key) in supports
     }
-
-
-def _iso_map(p: Pattern, q: Pattern) -> dict[int, int]:
-    """A structure/label-preserving bijection from p's vertices to q's
-    (both are the same canonical pattern up to relabeling)."""
-    for perm in itertools.permutations(range(p.n)):
-        if all(p.labels[v] == q.labels[perm[v]] for v in range(p.n)) and (
-            frozenset(
-                (min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in p.edges
-            )
-            == q.edges
-            and frozenset(
-                (min(perm[a], perm[b]), max(perm[a], perm[b]))
-                for a, b in p.anti_edges
-            )
-            == q.anti_edges
-            and frozenset(perm[v] for v in p.anti_vertices) == q.anti_vertices
-        ):
-            return {v: perm[v] for v in range(p.n)}
-    raise AssertionError("patterns are not isomorphic")
 
 
 def fsm(

@@ -15,14 +15,17 @@ a new ``Pattern`` — the idiomatic Python equivalent, and what lets
 patterns be dict keys throughout the engine.
 
 Vertices are ``0..n-1``. Labels are ``None`` (wildcard, matches any data
-label) or small ints. Patterns are tiny (≤ ~7 vertices), so canonical
-forms and automorphisms are computed by brute force over permutations.
+label) or small ints. Canonical forms are still computed by brute force
+over all ``n!`` relabelings, which is fine for the ≤ ~7-vertex patterns
+that get canonicalized. Automorphisms and isomorphisms come from a
+backtracking search (:meth:`Pattern.isomorphisms`) that prunes each
+partial vertex map, so exploration plans also scale to large cliques.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Edge = tuple[int, int]
 
@@ -198,25 +201,58 @@ class Pattern:
         return self.labels + (None,) * (n - self.n)
 
     # -- isomorphism machinery --------------------------------------------
-    def automorphisms(self) -> list[tuple[int, ...]]:
-        """All permutations preserving edges, anti-edges, labels and
-        anti-vertex flags. Anti-edges are *not* interchangeable with
-        regular edges (§4.3)."""
-        autos = []
-        for perm in itertools.permutations(range(self.n)):
-            if all(self.labels[v] == self.labels[perm[v]] for v in range(self.n)) and (
-                frozenset(perm[v] for v in self.anti_vertices) == self.anti_vertices
-            ):
-                if (
-                    frozenset(_norm_edge(perm[a], perm[b]) for a, b in self.edges)
-                    == self.edges
-                    and frozenset(
-                        _norm_edge(perm[a], perm[b]) for a, b in self.anti_edges
-                    )
-                    == self.anti_edges
+    def isomorphisms(
+        self, other: "Pattern", fixed: Mapping[int, int] = {}
+    ) -> Iterator[tuple[int, ...]]:
+        """Every vertex map ``m`` (``m[v]`` is the image of ``v``) from this
+        pattern onto ``other`` that extends ``fixed`` and preserves labels,
+        anti-vertex flags, edges and anti-edges. Anti-edges are *not*
+        interchangeable with regular edges (§4.3).
+
+        Backtracking search: the ``fixed`` vertices are assigned first,
+        then the rest in id order, and a partial assignment is dropped as
+        soon as one vertex's label, flag or degrees differ from its
+        image's, or one pair of assigned vertices relates differently
+        (edge, anti-edge or neither) than its images."""
+        if self.n != other.n:
+            return
+        kind = [self._vertex_kind(v) for v in range(self.n)]
+        their_kind = [other._vertex_kind(u) for u in range(other.n)]
+        order = list(fixed) + [v for v in range(self.n) if v not in fixed]
+        image = [-1] * self.n
+        used = [False] * other.n
+
+        def extend(i: int) -> Iterator[tuple[int, ...]]:
+            if i == self.n:
+                yield tuple(image)
+                return
+            v = order[i]
+            for u in (fixed[v],) if v in fixed else range(other.n):
+                if used[u] or kind[v] != their_kind[u] or any(
+                    self.are_connected(v, w) != other.are_connected(u, image[w])
+                    or self.are_anti_adjacent(v, w)
+                    != other.are_anti_adjacent(u, image[w])
+                    for w in order[:i]
                 ):
-                    autos.append(perm)
-        return autos
+                    continue
+                image[v], used[u] = u, True
+                yield from extend(i + 1)
+                used[u] = False
+
+        yield from extend(0)
+
+    def _vertex_kind(self, v: int) -> tuple:
+        """What an isomorphism must preserve about ``v`` alone."""
+        return (
+            self.labels[v],
+            v in self.anti_vertices,
+            len(self.get_neighbors(v)),
+            len(self.get_anti_neighbors(v)),
+        )
+
+    def automorphisms(self) -> list[tuple[int, ...]]:
+        """All isomorphisms of this pattern onto itself."""
+        return list(self.isomorphisms(self))
 
     def _encoding(self, perm: Sequence[int]) -> tuple:
         """Sortable structural encoding of this pattern relabeled so that

@@ -6,15 +6,21 @@ produces everything the matching engine needs:
 * **partial orders** — Grochow–Kellis symmetry breaking: ``(a, b)`` means
   every match must satisfy ``m(a) < m(b)``; the only automorphism of the
   pattern consistent with the ordering is the identity, so each unique
-  subgraph is produced exactly once with no canonicality checks;
+  subgraph is produced exactly once with no canonicality checks. Vertices
+  ``v = 0..n-1`` are pinned in turn; the orbit of ``v`` under the
+  automorphisms that fix ``0..v-1`` is every ``u`` for which a
+  backtracking search finds *one* witness automorphism mapping ``v`` to
+  ``u`` (:meth:`Pattern.isomorphisms`), so the full group is never listed;
+* **|Aut|** — the product of those orbit sizes (orbit–stabilizer theorem
+  along the stabilizer chain), used by PRG-U to divide its counts;
 * **core** — the subgraph induced by a minimum *connected* vertex cover
   (anti-edges between regular vertices are covered too, §4.2;
   anti-vertices are excluded from the core, §4.3);
-* **matching orders** — all total orders of the core consistent with the
-  partial order (deduplicated structurally);
 * **vertex order** — the full join order used by the DataFrame engine:
-  core first (first matching order), then non-core regular vertices,
-  each adjacent to at least one earlier vertex; anti-vertices last.
+  core first, then non-core regular vertices, each adjacent to at least
+  one earlier vertex; anti-vertices last. Every matching order of the
+  core is realized by this one order, since the partial orders are
+  applied as ``<`` predicates rather than by ordering the joins.
 
 ``Theorem 3.1``: vertex-induced matching of ``p`` equals edge-induced
 matching of ``p`` plus anti-edges between every non-adjacent regular
@@ -23,6 +29,8 @@ pair — implemented by :func:`vertex_induced_rewrite`.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .pattern import Pattern, _norm_edge
@@ -45,21 +53,22 @@ def vertex_induced_rewrite(p: Pattern) -> Pattern:
 def break_symmetries(p: Pattern) -> tuple[tuple[int, int], ...]:
     """Grochow–Kellis symmetry breaking [16].
 
-    Iteratively pins the smallest non-fixed vertex ``v``: add ``v < u``
-    for every other vertex ``u`` in v's orbit, then keep only the
-    automorphisms fixing ``v``. Terminates with only the identity
-    remaining. Automorphisms are computed on the *full* pattern —
+    Pins ``v = 0..n-1`` in turn and adds ``v < u`` for every other vertex
+    ``u`` in v's orbit under the automorphisms that fix ``0..v-1``: those
+    ``u`` for which one such automorphism maps ``v`` to ``u``. (Smaller
+    vertices are fixed, so ``u > v``.) Once every vertex is pinned only
+    the identity remains. Automorphisms are taken on the *full* pattern —
     including labels, anti-edges and anti-vertices — so anti-vertex
     asymmetries are honoured (§4.3).
     """
-    autos = p.automorphisms()
-    conditions: list[tuple[int, int]] = []
-    while len(autos) > 1:
-        v = min(v for v in range(p.n) if any(a[v] != v for a in autos))
-        orbit = {a[v] for a in autos}
-        for u in sorted(orbit - {v}):
-            conditions.append((v, u))
-        autos = [a for a in autos if a[v] == v]
+    conditions = []
+    for v in range(p.n):
+        stabilizer = {w: w for w in range(v)}
+        conditions += [
+            (v, u)
+            for u in range(v + 1, p.n)
+            if next(p.isomorphisms(p, {**stabilizer, v: u}), None) is not None
+        ]
     return tuple(conditions)
 
 
@@ -107,37 +116,6 @@ def _connected_within(vs: tuple[int, ...], adj: dict[int, set[int]]) -> bool:
     return seen == vset
 
 
-def compute_matching_orders(
-    p: Pattern, core: tuple[int, ...], partial_orders: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...], ...]:
-    """All total orders (sequences) of the core consistent with the
-    partial order restricted to core vertices, deduplicated by the
-    relabeled-core structure they induce (§4.1)."""
-    po = [(a, b) for a, b in partial_orders if a in core and b in core]
-    seqs = []
-    seen_structs = set()
-    for seq in itertools.permutations(core):
-        pos = {v: i for i, v in enumerate(seq)}
-        if any(pos[a] > pos[b] for a, b in po):
-            continue
-        # structure of the core relabeled by position in the sequence
-        struct = (
-            tuple(
-                sorted(
-                    _norm_edge(pos[a], pos[b])
-                    for a, b in p.edges
-                    if a in pos and b in pos
-                )
-            ),
-            tuple(p.labels[v] is None or p.labels[v] for v in seq),
-        )
-        if struct in seen_structs:
-            continue
-        seen_structs.add(struct)
-        seqs.append(seq)
-    return tuple(seqs)
-
-
 @dataclass(frozen=True)
 class ExplorationPlan:
     """Everything needed to guide exploration for one pattern."""
@@ -145,7 +123,6 @@ class ExplorationPlan:
     pattern: Pattern  # rewritten pattern (anti-edges added when induced)
     partial_orders: tuple[tuple[int, int], ...]
     core: tuple[int, ...]
-    matching_orders: tuple[tuple[int, ...], ...]
     vertex_order: tuple[int, ...]  # regular vertices in join order
     num_automorphisms: int
 
@@ -155,7 +132,7 @@ class ExplorationPlan:
 
 
 def generate_plan(p: Pattern, induced: bool = False) -> ExplorationPlan:
-    """Figure 5: symmetry breaking → vertex cover → matching orders.
+    """Figure 5: symmetry breaking → vertex cover → vertex order.
 
     ``induced=True`` first applies the Theorem 3.1 rewrite so the plan
     finds vertex-induced matches via edge-induced machinery.
@@ -163,28 +140,27 @@ def generate_plan(p: Pattern, induced: bool = False) -> ExplorationPlan:
     q = vertex_induced_rewrite(p) if induced else p
     partial = break_symmetries(q)
     core = min_connected_vertex_cover(q)
-    orders = compute_matching_orders(q, core, partial)
-    vertex_order = _full_vertex_order(q, orders[0] if orders else core)
+    # v's orbit in the stabilizer of 0..v-1 is v plus each u with (v, u);
+    # |Aut| is the product of those orbit sizes (orbit-stabilizer)
+    moved = Counter(v for v, _ in partial)
     return ExplorationPlan(
         pattern=q,
         partial_orders=partial,
         core=core,
-        matching_orders=orders,
-        vertex_order=vertex_order,
-        num_automorphisms=len(q.automorphisms()),
+        vertex_order=_full_vertex_order(q, core),
+        num_automorphisms=math.prod(1 + c for c in moved.values()),
     )
 
 
-def _full_vertex_order(p: Pattern, core_seq: tuple[int, ...]) -> tuple[int, ...]:
+def _full_vertex_order(p: Pattern, core: tuple[int, ...]) -> tuple[int, ...]:
     """A prefix-connected join order: core vertices first, then non-core
     regular vertices (whose regular neighbors are all in the core, by
-    the cover property). The core sequence is reordered greedily so
-    every vertex after the first is adjacent to an earlier one — the
-    join engine needs that; matching-order total orders are enforced
-    separately as ``<`` predicates."""
-    core = list(core_seq)
+    the cover property). The core is reordered greedily so every vertex
+    after the first is adjacent to an earlier one — the join engine
+    needs that; symmetry-breaking orders are enforced separately as
+    ``<`` predicates."""
     order = [core[0]]
-    remaining = core[1:]
+    remaining = list(core[1:])
     while remaining:
         nxt = next(
             v for v in remaining if set(p.get_neighbors(v)) & set(order)

@@ -1,4 +1,6 @@
 """Tests for the mining applications (§3.2, Figure 4)."""
+import itertools
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -171,6 +173,15 @@ class TestExistence:
 
         graph, edges = fig6
         assert not exists_clique(edges, k)
+
+    def test_planted_14_clique_found(self, small, sparks):
+        """Table 6's 14-clique query on a graph that contains one: the
+        staged search plans and runs every clique size up to 14."""
+        from repro.core.mining import exists_clique
+
+        graph, _ = small
+        planted = graph.edge_tuples() + list(itertools.combinations(range(14), 2))
+        assert exists_clique(from_edge_list(planted).to_spark(sparks), 14)
 
     def test_existence_matches_count(self, small):
         graph, edges = small

@@ -1,12 +1,19 @@
 """Unit tests for exploration-plan generation (§4.1–4.3, Figure 5)."""
 import itertools
+import math
+import time
 
 import pytest
 
-from repro.core.pattern import Pattern, chain, clique, star
+from repro.core.pattern import (
+    Pattern,
+    chain,
+    clique,
+    generate_all_vertex_induced,
+    star,
+)
 from repro.core.plan import (
     break_symmetries,
-    compute_matching_orders,
     generate_plan,
     min_connected_vertex_cover,
     vertex_induced_rewrite,
@@ -15,6 +22,52 @@ from repro.core.plan import (
 from .conftest import CONSTRAINED_PATTERNS, PLAIN_PATTERNS
 
 ALL_PATTERNS = {**PLAIN_PATTERNS, **CONSTRAINED_PATTERNS}
+
+
+def _reference_symmetry_breaking(p: Pattern):
+    """(partial orders, |Aut|) from every automorphism of ``p``, found
+    among all ``n!`` permutations: pin the smallest vertex some remaining
+    automorphism moves, order it before the rest of its orbit, keep the
+    automorphisms that fix it, until only the identity is left."""
+
+    def relabel(perm, pairs):
+        return {frozenset((perm[a], perm[b])) for a, b in pairs}
+
+    autos = [
+        perm
+        for perm in itertools.permutations(range(p.n))
+        if all(p.labels[perm[v]] == p.labels[v] for v in range(p.n))
+        and {perm[v] for v in p.anti_vertices} == p.anti_vertices
+        and relabel(perm, p.edges) == relabel(range(p.n), p.edges)
+        and relabel(perm, p.anti_edges) == relabel(range(p.n), p.anti_edges)
+    ]
+    n_aut = len(autos)
+    orders = []
+    while len(autos) > 1:
+        v = min(v for v in range(p.n) if any(a[v] != v for a in autos))
+        orders += [(v, u) for u in sorted({a[v] for a in autos} - {v})]
+        autos = [a for a in autos if a[v] == v]
+    return tuple(orders), n_aut
+
+
+def _reference_patterns() -> dict[str, Pattern]:
+    pats = dict(ALL_PATTERNS)
+    for size in (3, 4, 5):
+        for i, p in enumerate(generate_all_vertex_induced(size)):
+            name = f"motif{size}_{i}"
+            pats[name] = p
+            pats[name + "_induced"] = vertex_induced_rewrite(p)
+            pats[name + "_labeled"] = p.with_labels([v % 2 for v in range(p.n)])
+            pats[name + "_anti_vertex"] = p.add_anti_vertex([0, 1])
+    for k in (6, 7):
+        pats[f"clique{k}"] = clique(k)
+        pats[f"chain{k}"] = chain(k)
+        pats[f"star{k}"] = star(k)
+    pats["cycle6"] = Pattern.of(6, [(i, (i + 1) % 6) for i in range(6)])
+    return pats
+
+
+REFERENCE_PATTERNS = _reference_patterns()
 
 
 class TestSymmetryBreaking:
@@ -108,9 +161,11 @@ class TestVertexCover:
         assert len(min_connected_vertex_cover(p)) == size
 
     def test_diamond_core_is_chord(self):
-        """Paper §4.1: the diamond's core is the chord {u1, u2}."""
+        """Paper §4.1: the diamond's core is the chord {u1, u2}, and its
+        single matching order leads the join order."""
         d = Pattern.of(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
         assert min_connected_vertex_cover(d) == (1, 2)
+        assert generate_plan(d).vertex_order[:2] == (1, 2)
 
     def test_anti_vertex_excluded_from_core(self):
         """§4.3: anti-vertices do not impact the core."""
@@ -123,34 +178,6 @@ class TestVertexCover:
         pa = Pattern.of(4, [(0, 1), (1, 2), (2, 3), (0, 3)]).add_anti_edge(1, 3)
         cover = set(min_connected_vertex_cover(pa))
         assert 1 in cover or 3 in cover
-
-
-class TestMatchingOrders:
-    def test_diamond_has_single_order(self):
-        """Paper §4.1: the diamond core has exactly one matching order."""
-        d = Pattern.of(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-        plan = generate_plan(d)
-        assert plan.matching_orders == ((1, 2),)
-
-    def test_orders_respect_partial_order(self):
-        for name, p in ALL_PATTERNS.items():
-            plan = generate_plan(p)
-            po = [
-                (a, b)
-                for a, b in plan.partial_orders
-                if a in plan.core and b in plan.core
-            ]
-            for seq in plan.matching_orders:
-                pos = {v: i for i, v in enumerate(seq)}
-                for a, b in po:
-                    assert pos[a] < pos[b], (name, seq, (a, b))
-
-    def test_unordered_core_has_multiple_orders(self):
-        # chain4 core {1,2} is symmetric -> broken by (0,3) which is
-        # non-core, so both core sequences are structurally distinct? No:
-        # the relabeled structures coincide, so duplicates are dropped.
-        plan = generate_plan(chain(4))
-        assert len(plan.matching_orders) >= 1
 
 
 class TestPlan:
@@ -179,6 +206,24 @@ class TestPlan:
 
     def test_plan_counts_automorphisms(self):
         assert generate_plan(clique(4)).num_automorphisms == 24
+
+    def test_14_clique_plans_fast(self):
+        """Table 6's 14-clique: |Aut| = 14! is never listed."""
+        t = time.perf_counter()
+        plan = generate_plan(clique(14))
+        assert time.perf_counter() - t < 1.0
+        assert len(plan.partial_orders) == 91
+        assert plan.num_automorphisms == math.factorial(14)
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_PATTERNS))
+    def test_matches_permutation_reference(self, name):
+        """Partial orders and |Aut| equal Grochow–Kellis run over the
+        full automorphism group, listed by brute force."""
+        p = REFERENCE_PATTERNS[name]
+        want_orders, want_aut = _reference_symmetry_breaking(p)
+        plan = generate_plan(p)
+        assert break_symmetries(p) == plan.partial_orders == want_orders
+        assert plan.num_automorphisms == want_aut
 
     def test_core_first_in_vertex_order(self):
         for p in PLAIN_PATTERNS.values():
